@@ -10,8 +10,8 @@ BENCH_THRESHOLD ?= 1.10
 # tight).
 ALLOC_THRESHOLD ?= 1.10
 
-.PHONY: build test vet race staticcheck check cover fmt figures smoke \
-	cluster-smoke checkpoint-smoke campaign-smoke bench benchcheck \
+.PHONY: build test vet perfbench-vet race staticcheck check cover fmt \
+	figures smoke checkpoint-smoke campaign-smoke bench benchcheck \
 	benchbaseline leakcheck campaign contract-matrix contract-matrix-update
 
 build:
@@ -22,6 +22,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark harness is a nested module that the root ./... never
+# compiles; vetting it catches an exported-name change that breaks it.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # The engine and service are concurrent; the race detector is part of the
 # standard gate, not an extra.
@@ -111,12 +116,6 @@ figures:
 # HTTP API, and assert the Prometheus endpoint exposes simulator metrics.
 smoke:
 	./scripts/smoke.sh
-
-# Cluster end-to-end smoke: coordinator + 2 workers + persistent store,
-# streamed sweep with a worker killed mid-sweep, doppelbench burst, cluster
-# metrics scrape. CLUSTER_SMOKE_RACE=1 builds the fleet with -race.
-cluster-smoke:
-	./scripts/cluster-smoke.sh
 
 # Checkpoint end-to-end smoke: warm a workload once with doppelsim, restore
 # the snapshot under every scheme, and assert warm == cold architectural

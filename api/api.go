@@ -1,9 +1,8 @@
 // Package api defines the wire types of the doppeld HTTP API: requests and
 // responses for /v1/run, /v1/sweep, /v1/checkpoint, /v1/leakcheck and
 // /v1/campaign. The
-// same structs are consumed by the server (cmd/doppeld), the load generator
-// (cmd/doppelbench), and any external client; the JSON field names are the
-// contract.
+// same structs are consumed by the server (cmd/doppeld) and any external
+// client; the JSON field names are the contract.
 //
 // Responses carry an explicit schema_version (SchemaVersion). The version
 // bumps whenever a field changes meaning or is removed; adding new optional

@@ -38,11 +38,7 @@ func (s *server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schemeName := req.Scheme
-	if schemeName == "" {
-		schemeName = "unsafe"
-	}
-	scheme, err := sim.ParseScheme(schemeName)
+	scheme, err := parseScheme(req.Scheme)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -1,29 +1,18 @@
-// Command doppeld serves the simulator as an HTTP service: single runs,
-// whole experiment-matrix sweeps, stored results, health and engine
-// statistics. Every simulation funnels through one shared execution engine,
-// so concurrent clients share a bounded worker pool and an LRU result
-// cache — a repeated sweep costs nothing but cache lookups.
-//
-// The process runs in one of three roles:
-//
-//	-role single       the classic standalone server (default)
-//	-role coordinator  cluster front door: shards jobs across workers by
-//	                   canonical cache key, serves the two-level result
-//	                   tier, streams sweep progress
-//	-role worker       executes jobs for a coordinator; also serves the
-//	                   full standalone API locally
+// Command doppeld serves the simulator as a single-node HTTP service:
+// single runs, whole experiment-matrix sweeps, contract-lattice leakage
+// sweeps, coverage-guided campaigns, checkpoints, stored results, health and
+// engine statistics. Every simulation funnels through one shared execution
+// engine, so concurrent clients share a bounded worker pool and an LRU
+// result cache — a repeated sweep costs nothing but cache lookups. On
+// SIGINT/SIGTERM the server stops accepting connections and drains
+// in-flight requests before exiting.
 //
 //	doppeld -addr :8080 -workers 8
-//
-//	doppeld -role coordinator -addr :9000 -store results.dgrs
-//	doppeld -role worker -addr :8081 -coordinator http://127.0.0.1:9000
-//	doppeld -role worker -addr :8082 -coordinator http://127.0.0.1:9000
 //
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/run \
 //	    -d '{"workload":"stream","scheme":"dom","ap":true,"scale":"test"}'
 //	curl -s -X POST localhost:8080/v1/sweep -d '{"scale":"test"}'
-//	curl -s -N -X POST localhost:9000/v1/sweep -d '{"scale":"test","stream":"sse"}'
 //	curl -s localhost:8080/v1/results/sweep-1
 //	curl -s localhost:8080/stats
 //	curl -s localhost:8080/metrics          # Prometheus text format
@@ -35,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -44,8 +32,6 @@ import (
 	"syscall"
 	"time"
 
-	"doppelganger/internal/cluster"
-	"doppelganger/internal/cluster/store"
 	"doppelganger/internal/engine"
 	"doppelganger/sim"
 )
@@ -59,149 +45,35 @@ func main() {
 }
 
 // run is the whole server lifecycle, separated from main so tests can boot
-// any role in-process: parse flags, listen, serve until ctx is cancelled,
-// then shut down gracefully (drain in-flight requests and streams; a worker
-// deregisters from its coordinator before the listener closes). When ready
-// is non-nil it receives the bound listen address once serving.
+// the server in-process: parse flags, listen, serve until ctx is cancelled,
+// then shut down gracefully (drain in-flight requests, then close the
+// engine). When ready is non-nil it receives the bound listen address once
+// serving.
 func run(ctx context.Context, args []string, logf func(string, ...any), ready chan<- net.Addr) error {
 	fs := flag.NewFlagSet("doppeld", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		role      = fs.String("role", "single", `process role: "single", "coordinator" or "worker"`)
-		workers   = fs.Int("workers", 0, "engine worker-pool size (0 = one per CPU; single and worker roles)")
+		workers   = fs.Int("workers", 0, "engine worker-pool size (0 = one per CPU)")
 		cacheSize = fs.Int("cache", engine.DefaultCacheSize, "result-cache capacity in entries (negative disables)")
 		jobLimit  = fs.Duration("job-timeout", 0, "per-job wall-clock budget (0 = none)")
-
-		// Coordinator role.
-		storePath = fs.String("store", "", "persistent result store path (coordinator; empty = memory only)")
-		rateLimit = fs.Float64("rate-limit", 0, "per-client requests/second (coordinator; 0 = unlimited)")
-		rateBurst = fs.Int("rate-burst", 0, "per-client token-bucket depth (coordinator; 0 = 10)")
-		maxQueue  = fs.Int("max-queue", 0, "admitted-but-unfinished job bound before 429 (coordinator; 0 = 1024, negative disables)")
-		dispatchN = fs.Int("dispatch-parallel", 0, "concurrent dispatches per sweep (coordinator; 0 = 16)")
-		heartbeat = fs.Duration("heartbeat", 0, "worker heartbeat interval (coordinator; 0 = 1s)")
-
-		// Worker role.
-		coordURL  = fs.String("coordinator", "", "coordinator base URL to join (worker)")
-		workerID  = fs.String("worker-id", "", "stable cluster identity (worker; default doppeld-<pid>)")
-		advertise = fs.String("advertise", "", "base URL the coordinator dispatches to (worker; default http://<bound addr>)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var (
-		handler http.Handler
-		// started runs after the listener is up (workers join the cluster
-		// here, once the advertised address is real); shutdown runs after
-		// the HTTP server has drained.
-		started  func(ln net.Addr)
-		shutdown func()
-	)
-
-	switch *role {
-	case "single":
-		met := sim.NewMetrics()
-		eng := engine.New(engine.Options{
-			Workers:    *workers,
-			CacheSize:  *cacheSize,
-			JobTimeout: *jobLimit,
-			Metrics:    met,
-		})
-		handler = newServer(eng, met).handler()
-		shutdown = eng.Close
-
-	case "coordinator":
-		met := sim.NewMetrics()
-		var st *store.Store
-		if *storePath != "" {
-			var err error
-			if st, err = store.Open(*storePath); err != nil {
-				return fmt.Errorf("opening result store: %w", err)
-			}
-			sst := st.Stats()
-			logf("doppeld: result store %s: %d results, %d bytes", *storePath, sst.Keys, sst.Bytes)
-		}
-		coord := cluster.NewCoordinator(cluster.Options{
-			Store:             st,
-			Metrics:           met,
-			CacheSize:         *cacheSize,
-			HeartbeatInterval: *heartbeat,
-			MaxQueue:          *maxQueue,
-			DispatchParallel:  *dispatchN,
-			RateLimit:         *rateLimit,
-			RateBurst:         *rateBurst,
-			Logf:              logf,
-		})
-		handler = coord.Handler()
-		shutdown = func() {
-			coord.Close()
-			if st != nil {
-				if err := st.Close(); err != nil {
-					logf("doppeld: closing store: %v", err)
-				}
-			}
-		}
-
-	case "worker":
-		if *coordURL == "" {
-			return errors.New("-role worker requires -coordinator")
-		}
-		met := sim.NewMetrics()
-		eng := engine.New(engine.Options{
-			Workers:    *workers,
-			CacheSize:  *cacheSize,
-			JobTimeout: *jobLimit,
-			Metrics:    met,
-		})
-		id := *workerID
-		if id == "" {
-			id = fmt.Sprintf("doppeld-%d", os.Getpid())
-		}
-		// A worker is a full standalone doppeld plus the coordinator-facing
-		// execute endpoint, so it stays useful for direct local queries.
-		mux := http.NewServeMux()
-		mux.Handle("/", newServer(eng, met).handler())
-		mux.Handle("POST /internal/v1/execute", (&cluster.Worker{ID: id, Eng: eng}).Handler())
-		handler = mux
-
-		agentDone := make(chan struct{})
-		agentCtx, stopAgent := context.WithCancel(context.Background())
-		started = func(ln net.Addr) {
-			adv := *advertise
-			if adv == "" {
-				adv = "http://" + advertiseHost(ln)
-			}
-			agent := &cluster.Agent{Coordinator: *coordURL, ID: id, Addr: adv, Logf: logf}
-			go func() {
-				defer close(agentDone)
-				if err := agent.Run(agentCtx); err != nil {
-					logf("doppeld: cluster agent: %v", err)
-				}
-			}()
-		}
-		shutdown = func() {
-			// Deregister first: the ring must stop routing here before the
-			// engine goes away. Run fires the goodbye on its own short
-			// context once agentCtx is cancelled.
-			stopAgent()
-			select {
-			case <-agentDone:
-			case <-time.After(5 * time.Second):
-				logf("doppeld: cluster agent did not deregister in time")
-			}
-			eng.Close()
-		}
-
-	default:
-		return fmt.Errorf("unknown -role %q (want \"single\", \"coordinator\" or \"worker\")", *role)
-	}
-
-	hs := &http.Server{Handler: handler}
+	met := sim.NewMetrics()
+	eng := engine.New(engine.Options{
+		Workers:    *workers,
+		CacheSize:  *cacheSize,
+		JobTimeout: *jobLimit,
+		Metrics:    met,
+	})
+	defer eng.Close()
+	hs := &http.Server{Handler: newServer(eng, met).handler()}
 
 	// Listen explicitly (rather than ListenAndServe) so -addr :0 works:
 	// the kernel-chosen port is in ln.Addr, and the log line below is the
-	// contract scripts/smoke.sh and scripts/cluster-smoke.sh parse to find
-	// the server.
+	// contract scripts/smoke.sh parses to find the server.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -209,10 +81,7 @@ func run(ctx context.Context, args []string, logf func(string, ...any), ready ch
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	logf("doppeld: listening on %s (role %s)", ln.Addr(), *role)
-	if started != nil {
-		started(ln.Addr())
-	}
+	logf("doppeld: listening on %s", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr()
 	}
@@ -224,31 +93,12 @@ func run(ctx context.Context, args []string, logf func(string, ...any), ready ch
 	}
 
 	logf("doppeld: shutting down")
-	// Shutdown drains in-flight requests, including streaming sweeps: SSE
-	// and NDJSON responses run to their terminal event before the listener
-	// reports closed.
+	// Shutdown drains in-flight requests: a sweep already running completes
+	// and its response is written before the listener reports closed.
 	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logf("doppeld: shutdown: %v", err)
 	}
-	if shutdown != nil {
-		shutdown()
-	}
 	return nil
-}
-
-// advertiseHost turns a bound listen address into a dialable host:port —
-// a wildcard listen (":8080", "0.0.0.0:...") advertises loopback, which is
-// right for the local-cluster topology this serves; multi-host deployments
-// pass -advertise explicitly.
-func advertiseHost(ln net.Addr) string {
-	host, port, err := net.SplitHostPort(ln.String())
-	if err != nil {
-		return ln.String()
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		return net.JoinHostPort("127.0.0.1", port)
-	}
-	return ln.String()
 }

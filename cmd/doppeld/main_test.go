@@ -1,19 +1,22 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"doppelganger/api"
+	"doppelganger/internal/engine"
 )
 
-// bootRole starts run() for one role in-process and returns its base URL
-// plus a stop function that cancels the role and waits for run to return.
-func bootRole(t *testing.T, args ...string) (baseURL string, stop func() error) {
+// bootServer starts run() in-process and returns its base URL plus a stop
+// function that cancels run's context and waits for it to return.
+func bootServer(t *testing.T, args ...string) (baseURL string, stop func() error) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan net.Addr, 1)
@@ -48,118 +51,80 @@ func bootRole(t *testing.T, args ...string) (baseURL string, stop func() error) 
 	return baseURL, stop
 }
 
-func waitForWorkers(t *testing.T, coordURL string, n int) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(coordURL + "/v1/cluster/workers")
-		if err == nil {
-			var body struct {
-				Workers []json.RawMessage `json:"workers"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&body)
-			resp.Body.Close()
-			if err == nil && len(body.Workers) == n {
-				return
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("coordinator never reported %d workers", n)
-}
-
-// TestWorkerDeregistersOnShutdown boots a coordinator and a worker through
-// the real role entry points and checks the shutdown contract: cancelling
-// the worker's context deregisters it from the coordinator before run
-// returns — the ring stops routing to a worker that is about to vanish.
-func TestWorkerDeregistersOnShutdown(t *testing.T) {
-	coordURL, _ := bootRole(t, "-role", "coordinator")
-	_, stopWorker := bootRole(t, "-role", "worker", "-coordinator", coordURL, "-worker-id", "wA", "-workers", "1")
-	waitForWorkers(t, coordURL, 1)
-
-	if err := stopWorker(); err != nil {
-		t.Fatalf("worker shutdown: %v", err)
-	}
-	// Deregistration happened before run returned, so the registry must be
-	// empty immediately — no heartbeat-timeout grace, no polling.
-	waitForWorkers(t, coordURL, 0)
-}
-
-// TestGracefulShutdownDrainsSweepStream boots a one-worker cluster, starts
-// a streaming sweep, and shuts the coordinator down mid-stream. The
-// shutdown must drain: the client keeps receiving progress events through
-// the terminal "done" summary, not a severed connection.
+// TestGracefulShutdownDrainsSweepStream starts a /v1/sweep of the stream
+// workload, waits until the engine has accepted its jobs but not finished
+// them, and cancels run's context mid-sweep. Shutdown must drain: the in-flight sweep completes
+// with every cell before run returns (the engine closes as run returns, so
+// a sweep that outlived run could not finish), and run reports no error.
 func TestGracefulShutdownDrainsSweepStream(t *testing.T) {
-	coordURL, stopCoord := bootRole(t, "-role", "coordinator")
-	_, _ = bootRole(t, "-role", "worker", "-coordinator", coordURL, "-worker-id", "wB", "-workers", "1")
-	waitForWorkers(t, coordURL, 1)
+	baseURL, stop := bootServer(t, "-workers", "1")
 
-	body := `{"workloads":["stream"],"schemes":["unsafe","dom"],"scale":"test","stream":"ndjson"}`
-	resp, err := http.Post(coordURL+"/v1/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	const body = `{"workloads":["stream"],"scale":"test"}`
+	type reply struct {
+		status int
+		resp   api.SweepResponse
+		err    error
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d", resp.StatusCode)
-	}
-
-	type event struct {
-		Type   string `json:"type"`
-		Errors int    `json:"errors"`
-		Error  string `json:"error"`
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-
-	// Read the first progress event, then yank the coordinator's context
-	// while the sweep is demonstrably mid-stream.
-	if !sc.Scan() {
-		t.Fatalf("stream ended before first event: %v", sc.Err())
-	}
-	var first event
-	if err := json.Unmarshal(sc.Bytes(), &first); err != nil {
-		t.Fatalf("bad first event %q: %v", sc.Text(), err)
-	}
-	if first.Type != "progress" {
-		t.Fatalf("first event type %q, want progress", first.Type)
-	}
-	shutdownDone := make(chan error, 1)
-	go func() { shutdownDone <- stopCoord() }()
-
-	events := 1
-	sawDone := false
-	for sc.Scan() {
-		events++
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad event %q: %v", sc.Text(), err)
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(baseURL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			replies <- reply{err: err}
+			return
 		}
-		if ev.Error != "" {
-			t.Errorf("cell failed during drain: %s", ev.Error)
+		defer resp.Body.Close()
+		r := reply{status: resp.StatusCode}
+		r.err = json.NewDecoder(resp.Body).Decode(&r.resp)
+		replies <- r
+	}()
+
+	// One workload × the 4 default schemes × ±AP, submitted in one batch.
+	const cells = 4 * 2
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		var st struct {
+			Engine engine.Stats `json:"engine"`
 		}
-		if ev.Type == "done" {
-			sawDone = true
-			if ev.Errors != 0 {
-				t.Errorf("drained sweep finished with %d errors", ev.Errors)
+		_, raw := getJSON(t, baseURL+"/stats")
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("bad /stats JSON: %v", err)
+		}
+		if st.Engine.Submitted >= cells {
+			if st.Engine.JobsRun >= cells {
+				t.Fatalf("sweep finished before shutdown began (%d jobs run); enlarge it", st.Engine.JobsRun)
 			}
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never reached the engine (submitted %d)", st.Engine.Submitted)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream severed instead of drained after %d events: %v", events, err)
+
+	if err := stop(); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if !sawDone {
-		t.Fatalf("stream ended after %d events without the terminal done event", events)
+	r := <-replies
+	if r.err != nil {
+		t.Fatalf("sweep severed instead of drained: %v", r.err)
 	}
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("coordinator shutdown: %v", err)
+	if r.status != http.StatusOK {
+		t.Fatalf("drained sweep status %d", r.status)
+	}
+	if len(r.resp.Cells) != cells {
+		t.Fatalf("drained sweep returned %d cells, want %d", len(r.resp.Cells), cells)
+	}
+	for _, c := range r.resp.Cells {
+		if c.Result.Cycles == 0 {
+			t.Errorf("cell %s/%s ap=%v has zero cycles", c.Workload, c.Scheme, c.AP)
+		}
 	}
 }
 
-// TestSingleRoleStillServes pins the default role: no cluster flags, same
-// standalone API as ever.
+// TestSingleRoleStillServes boots the server through run with default
+// flags and checks it serves a simulation.
 func TestSingleRoleStillServes(t *testing.T) {
-	baseURL, _ := bootRole(t, "-workers", "1")
+	baseURL, _ := bootServer(t, "-workers", "1")
 	resp, err := http.Post(baseURL+"/v1/run", "application/json",
 		strings.NewReader(`{"workload":"stream","scale":"test"}`))
 	if err != nil {
@@ -182,18 +147,90 @@ func TestSingleRoleStillServes(t *testing.T) {
 	}
 }
 
-// TestWorkerRoleRequiresCoordinator pins the flag contract.
-func TestWorkerRoleRequiresCoordinator(t *testing.T) {
-	err := run(context.Background(), []string{"-role", "worker", "-addr", "127.0.0.1:0"}, t.Logf, nil)
-	if err == nil || !strings.Contains(err.Error(), "-coordinator") {
-		t.Errorf("worker without -coordinator: err = %v, want mention of -coordinator", err)
+// engineWorkers counts the live goroutines parked in or running an engine
+// worker loop, across every engine in the process.
+func engineWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "doppelganger/internal/engine.(*Engine).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
-// TestUnknownRoleRejected pins the error for a bad -role.
+// TestWorkerDeregistersOnShutdown pins the shutdown contract for the
+// engine's worker pool: cancelling run's context stops every worker the
+// server started before run returns, so no simulation goroutine outlives
+// the server.
+func TestWorkerDeregistersOnShutdown(t *testing.T) {
+	before := engineWorkers()
+	baseURL, stop := bootServer(t, "-workers", "3")
+	if got := engineWorkers(); got < before+3 {
+		t.Fatalf("server with -workers 3 runs %d engine workers, want at least %d", got, before+3)
+	}
+	resp, err := http.Post(baseURL+"/v1/run", "application/json",
+		strings.NewReader(`{"workload":"stream","scale":"test"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run status %d", resp.StatusCode)
+	}
+
+	if err := stop(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	// The engine closed before run returned, so its workers are gone at
+	// once: no polling, no grace period.
+	if got := engineWorkers(); got > before {
+		t.Errorf("%d engine workers still alive after run returned, want at most %d", got, before)
+	}
+}
+
+// TestWorkerRoleRequiresCoordinator pins that the cluster worker and
+// coordinator launch lines no longer start anything: doppeld has a single
+// role, and each of the nine flags that configured a coordinator or a
+// worker (-coordinator among them) is refused by name instead of being
+// silently ignored.
+func TestWorkerRoleRequiresCoordinator(t *testing.T) {
+	removed := map[string]string{
+		"-store":             "results.dgrs",
+		"-rate-limit":        "10",
+		"-rate-burst":        "20",
+		"-max-queue":         "64",
+		"-dispatch-parallel": "4",
+		"-heartbeat":         "1s",
+		"-coordinator":       "http://127.0.0.1:1",
+		"-worker-id":         "w1",
+		"-advertise":         "http://127.0.0.1:2",
+	}
+	for flag, value := range removed {
+		ready := make(chan net.Addr, 1)
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", flag, value}, t.Logf, ready)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("run with %s %s: err = %v, want a refusal naming %s", flag, value, err, flag)
+		}
+		if len(ready) != 0 {
+			t.Errorf("run with %s started serving", flag)
+		}
+	}
+}
+
+// TestUnknownRoleRejected pins that -role itself is gone: every role,
+// including the former single default, is now an unknown flag, and run
+// refuses it by name before listening.
 func TestUnknownRoleRejected(t *testing.T) {
-	err := run(context.Background(), []string{"-role", "conductor"}, t.Logf, nil)
-	if err == nil || !strings.Contains(err.Error(), "conductor") {
-		t.Errorf("unknown role: err = %v, want mention of the bad role", err)
+	for _, role := range []string{"single", "coordinator", "worker", "conductor"} {
+		ready := make(chan net.Addr, 1)
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-role", role}, t.Logf, ready)
+		if err == nil || !strings.Contains(err.Error(), "-role") {
+			t.Errorf("-role %s: err = %v, want a refusal naming -role", role, err)
+		}
+		if len(ready) != 0 {
+			t.Errorf("-role %s started serving", role)
+		}
 	}
 }

@@ -13,6 +13,8 @@ import (
 
 	"doppelganger/api"
 	"doppelganger/internal/engine"
+	"doppelganger/internal/leakcheck"
+	"doppelganger/internal/secure"
 	"doppelganger/internal/workload"
 	"doppelganger/sim"
 )
@@ -111,6 +113,58 @@ func (s *server) program(name string, scale workload.Scale) (*sim.Program, error
 	return p, nil
 }
 
+// defaultSchemeNames is the scheme list of a sweep, leakcheck or campaign
+// request that names none: the paper's evaluated schemes.
+func defaultSchemeNames() []string { return secure.Names(secure.Schemes()) }
+
+// parseScheme resolves a request's scheme name; empty selects the unsafe
+// baseline.
+func parseScheme(name string) (sim.Scheme, error) {
+	if name == "" {
+		return sim.Unsafe, nil
+	}
+	return sim.ParseScheme(name)
+}
+
+// parseAP maps a request's "ap" field to the address-prediction settings
+// it selects: "both" (or empty) runs without and then with, "on" and "off"
+// run one.
+func parseAP(mode string) ([]bool, error) {
+	switch mode {
+	case "", "both":
+		return []bool{false, true}, nil
+	case "off":
+		return []bool{false}, nil
+	case "on":
+		return []bool{true}, nil
+	}
+	return nil, fmt.Errorf("unknown ap %q (want \"both\", \"on\" or \"off\")", mode)
+}
+
+// parseSchemeConfigs expands a leakcheck or campaign request's scheme names
+// (default defaultSchemeNames) and "ap" field into scheme configs, each
+// scheme under every selected AP setting.
+func parseSchemeConfigs(names []string, apMode string) ([]leakcheck.Config, error) {
+	if len(names) == 0 {
+		names = defaultSchemeNames()
+	}
+	aps, err := parseAP(apMode)
+	if err != nil {
+		return nil, err
+	}
+	var cfgs []leakcheck.Config
+	for _, name := range names {
+		scheme, err := secure.ParseScheme(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		for _, ap := range aps {
+			cfgs = append(cfgs, leakcheck.Config{Scheme: scheme, AP: ap})
+		}
+	}
+	return cfgs, nil
+}
+
 func parseScale(name string) (workload.Scale, string, error) {
 	switch name {
 	case "", "full":
@@ -137,11 +191,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	schemeName := req.Scheme
-	if schemeName == "" {
-		schemeName = "unsafe"
-	}
-	scheme, err := sim.ParseScheme(schemeName)
+	scheme, err := parseScheme(req.Scheme)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -269,7 +319,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	schemeNames := req.Schemes
 	if len(schemeNames) == 0 {
-		schemeNames = []string{"unsafe", "nda-p", "stt", "dom"}
+		schemeNames = defaultSchemeNames()
 	}
 	schemes := make([]sim.Scheme, len(schemeNames))
 	for i, n := range schemeNames {
@@ -278,17 +328,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var aps []bool
-	switch req.AP {
-	case "", "both":
-		aps = []bool{false, true}
-	case "off":
-		aps = []bool{false}
-	case "on":
-		aps = []bool{true}
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown ap %q (want \"both\", \"on\" or \"off\")", req.AP))
+	aps, err := parseAP(req.AP)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 

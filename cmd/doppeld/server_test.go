@@ -303,3 +303,40 @@ func TestStatsShape(t *testing.T) {
 		}
 	}
 }
+
+// TestParseAP pins the one "ap" parser every endpoint shares: each accepted
+// value and the error text of a bad one.
+func TestParseAP(t *testing.T) {
+	cases := []struct {
+		mode    string
+		want    []bool
+		wantErr string
+	}{
+		{"", []bool{false, true}, ""},
+		{"both", []bool{false, true}, ""},
+		{"off", []bool{false}, ""},
+		{"on", []bool{true}, ""},
+		{"maybe", nil, `unknown ap "maybe" (want "both", "on" or "off")`},
+		{"ON", nil, `unknown ap "ON" (want "both", "on" or "off")`},
+	}
+	for _, c := range cases {
+		got, err := parseAP(c.mode)
+		if c.wantErr != "" {
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("parseAP(%q) error = %v, want %q", c.mode, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("parseAP(%q) = %v, %v; want %v", c.mode, got, err, c.want)
+		}
+	}
+}
+
+// TestDefaultSchemeNames pins the scheme list a sweep, leakcheck or
+// campaign request gets when it names none: the paper's schemes.
+func TestDefaultSchemeNames(t *testing.T) {
+	if got, want := fmt.Sprint(defaultSchemeNames()), "[unsafe nda-p stt dom]"; got != want {
+		t.Errorf("defaultSchemeNames() = %s, want %s", got, want)
+	}
+}

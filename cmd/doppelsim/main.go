@@ -21,9 +21,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"doppelganger/internal/engine"
+	"doppelganger/internal/secure"
 	"doppelganger/sim"
 )
 
@@ -31,13 +33,13 @@ func main() {
 	var (
 		workloadName = flag.String("workload", "", "run a suite workload by name (see -list)")
 		file         = flag.String("file", "", "run an assembly file")
-		schemeName   = flag.String("scheme", "unsafe", "secure speculation scheme: unsafe, nda-p, stt, dom, nda-s, stt-spectre, cleanup")
+		schemeName   = flag.String("scheme", sim.Unsafe.String(), "secure speculation scheme: "+strings.Join(schemeNames(), ", "))
 		ap           = flag.Bool("ap", false, "enable doppelganger loads (address prediction)")
 		vp           = flag.Bool("vp", false, "enable DoM value prediction instead of doppelgangers")
 		apKind       = flag.String("predictor", "stride", "address predictor: stride, context, hybrid")
 		bpKind       = flag.String("branch", "bimodal", "branch predictor: bimodal, gshare")
 		all          = flag.Bool("all", false, "run every scheme with and without AP and compare")
-		extensions   = flag.Bool("extensions", false, "with -all, include the nda-s and stt-spectre variants")
+		extensions   = flag.Bool("extensions", false, "with -all, also include "+strings.Join(secure.Names(extensionSchemes()), ", "))
 		scaleName    = flag.String("scale", "full", "workload scale: full or test")
 		maxInsts     = flag.Uint64("maxinsts", 0, "stop after committing this many instructions (0 = run to halt)")
 		maxCycles    = flag.Uint64("maxcycles", 0, "cycle budget (0 = default)")
@@ -69,7 +71,7 @@ func main() {
 		fail(fmt.Errorf("-ap and -vp are mutually exclusive: doppelganger loads and DoM value prediction replace each other"))
 	}
 	if *all && *vp {
-		fail(fmt.Errorf("-vp cannot be combined with -all: the comparison table contrasts doppelganger loads, not value prediction; run -scheme dom -vp instead"))
+		fail(fmt.Errorf("-vp cannot be combined with -all: the comparison table contrasts doppelganger loads, not value prediction; run -scheme %v -vp instead", sim.DoM))
 	}
 	if err := validateCheckpointFlags(*ckptOut, *ckptIn, *warmupInsts, *all, *trace, *metricsOut, *verify); err != nil {
 		fail(err)
@@ -245,13 +247,13 @@ func buildCoreConfig(vp bool, apKind, bpKind string) (sim.CoreConfig, error) {
 }
 
 // schemeNames lists every accepted -scheme value, extensions included.
-func schemeNames() []string {
-	all := sim.AllSchemes()
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.String()
-	}
-	return names
+func schemeNames() []string { return secure.Names(sim.AllSchemes()) }
+
+// extensionSchemes lists the schemes -extensions adds to -all: every
+// scheme beyond the paper's evaluation.
+func extensionSchemes() []sim.Scheme {
+	paper := sim.Schemes()
+	return slices.DeleteFunc(sim.AllSchemes(), func(s sim.Scheme) bool { return slices.Contains(paper, s) })
 }
 
 // openOut resolves an output destination: "-" is stdout (with a no-op
@@ -382,10 +384,11 @@ func printResult(res sim.Result) {
 	fmt.Printf("squashed uops      %d (%d memory-order violations)\n", st.Squashed, st.MemOrderViolations)
 	fmt.Printf("store forwards     %d\n", st.STLFForwards)
 	fmt.Printf("prefetches         %d issued\n", st.PrefetchesIssued)
-	if res.Scheme.DelaysOnMiss() {
+	caps := res.Scheme.Caps()
+	if caps.DelaysOnMiss {
 		fmt.Printf("DoM delayed misses %d\n", st.DoMDelayedMisses)
 	}
-	if res.Scheme.TracksTaint() {
+	if caps.TracksTaint {
 		fmt.Printf("STT taint stalls   %d\n", st.STTTaintStalls)
 	}
 	if res.AP {

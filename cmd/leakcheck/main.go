@@ -54,7 +54,7 @@ func main() {
 		seeds        = flag.Int("seeds", 256, "number of gadget seeds to sweep per config")
 		firstSeed    = flag.Int64("first", 0, "first seed of the sweep")
 		oneSeed      = flag.Int64("seed", -1, "check a single seed (prints its disassembly); overrides -seeds/-first")
-		schemes      = flag.String("schemes", "unsafe,nda-p,stt,dom,cleanup", "comma-separated schemes to sweep; scheme!mutation plants a gauntlet weakening")
+		schemes      = flag.String("schemes", defaultSchemes(), "comma-separated schemes to sweep; scheme!mutation plants a gauntlet weakening")
 		apMode       = flag.String("ap", "both", "doppelganger loads: on, off or both")
 		mutations    = flag.Bool("mutations", true, "also run the mutation gauntlet (planted scheme weakenings must be caught)")
 		mutSeeds     = flag.Int("mutation-seeds", 64, "max seeds to hunt per planted mutation")
@@ -409,6 +409,9 @@ type mutationReport struct {
 	Components []string `json:"components,omitempty"`
 	Downgrades []string `json:"downgrades,omitempty"`
 }
+
+// defaultSchemes is the -schemes default: the figures matrix's schemes.
+func defaultSchemes() string { return strings.Join(secure.Names(secure.FigureSchemes()), ",") }
 
 func parseConfigs(schemes, apMode string) ([]leakcheck.Config, error) {
 	var aps []bool

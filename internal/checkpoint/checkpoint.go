@@ -3,14 +3,14 @@
 // a quiescent core carries forward — architectural registers and memory,
 // the cache hierarchy with MSHRs and LRU state, and every predictor table —
 // plus the program image it was warmed on, so a checkpoint file is
-// self-contained: it can be restored standalone, shipped to a cluster
-// worker, or forked into every scheme × address-prediction variant of the
-// evaluation matrix without replaying warmup.
+// self-contained: it can be restored standalone, uploaded to doppeld, or
+// forked into every scheme × address-prediction variant of the evaluation
+// matrix without replaying warmup.
 //
-// The on-disk format (see file.go) follows internal/cluster/store's
-// discipline: a magic number, an explicit format version that is checked
-// before anything else, and a CRC per section so corruption is refused
-// with a clear error instead of deserialized into a subtly wrong core.
+// The on-disk format (see file.go) is the DGCK container: a magic number,
+// an explicit format version that is checked before anything else, and a
+// CRC per section so corruption is refused with a clear error instead of
+// deserialized into a subtly wrong core.
 package checkpoint
 
 import (
@@ -96,8 +96,8 @@ func (c *Checkpoint) Meta() Meta { return c.meta }
 func (c *Checkpoint) State() *pipeline.CoreState { return c.state }
 
 // Digest returns the SHA-256 hex digest of the canonical encoding. It is
-// the checkpoint's identity: engine cache keys, cluster references, and
-// the -checkpoint-in cross-check all use it.
+// the checkpoint's identity: engine cache keys, doppeld's stored
+// checkpoint references, and the -checkpoint-in cross-check all use it.
 func (c *Checkpoint) Digest() string { return c.digest }
 
 // Encode returns the canonical encoding. The slice is shared and must not

@@ -57,13 +57,10 @@ func goldenCheckpoint(t *testing.T) *sim.Checkpoint {
 }
 
 // TestKeyGolden pins the canonical cache-key encoding to exact digests.
-// These keys are the cluster's sharding function, the persistent result
-// tier's record keys, and the coordinator/worker version-skew cross-check:
-// a stored result tier written by one build must be readable by the next,
-// so an unintentional encoding change must fail loudly here. If you change
-// the encoding ON PURPOSE, update these digests AND bump the store format
-// version (internal/cluster/store) — old stored keys no longer name the
-// same simulations.
+// These keys name results in the engine's cache and in every report that
+// cites a job by key, so an unintentional encoding change must fail loudly
+// here. If you change the encoding ON PURPOSE, update these digests — old
+// keys no longer name the same simulations.
 func TestKeyGolden(t *testing.T) {
 	cases := []struct {
 		name string

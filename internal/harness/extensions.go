@@ -42,25 +42,23 @@ func RunExtensions(workloadName string, scale workload.Scale, runOpts ...sim.Run
 			return sim.Config{Scheme: s, AddressPrediction: ap, Core: &cc}
 		}
 	}
-	gens := []cfgGen{
-		{"unsafe", plain(secure.Unsafe, false)},
-		{"nda-p", plain(secure.NDAP, false)},
-		{"nda-p+AP", plain(secure.NDAP, true)},
-		{"nda-s", plain(secure.NDAS, false)},
-		{"nda-s+AP", plain(secure.NDAS, true)},
-		{"stt", plain(secure.STT, false)},
-		{"stt+AP", plain(secure.STT, true)},
-		{"stt-spectre", plain(secure.STTSpectre, false)},
-		{"stt-spectre+AP", plain(secure.STTSpectre, true)},
-		{"cleanup", plain(secure.Cleanup, false)},
-		{"cleanup+AP", plain(secure.Cleanup, true)},
-		{"dom", plain(secure.DoM, false)},
-		{"dom+AP", plain(secure.DoM, true)},
-		{"dom+VP", withCore(secure.DoM, false, func(c *pipeline.Config) { c.ValuePrediction = true })},
-		{"dom+AP-hybrid", withCore(secure.DoM, true, func(c *pipeline.Config) {
+	// One row per scheme in registry order, each without and then with
+	// address prediction; the unsafe baseline appears once, without AP, as
+	// the "vs base" reference the other rows are measured against.
+	var gens []cfgGen
+	for _, s := range secure.AllSchemes() {
+		gens = append(gens, cfgGen{s.String(), plain(s, false)})
+		if s != secure.Unsafe {
+			gens = append(gens, cfgGen{s.String() + "+AP", plain(s, true)})
+		}
+	}
+	dom := secure.DoM.String()
+	gens = append(gens,
+		cfgGen{dom + "+VP", withCore(secure.DoM, false, func(c *pipeline.Config) { c.ValuePrediction = true })},
+		cfgGen{dom + "+AP-hybrid", withCore(secure.DoM, true, func(c *pipeline.Config) {
 			c.AddressPredictorKind = pipeline.PredictorHybrid
 		})},
-	}
+	)
 	rows := make([]ExtensionRow, 0, len(gens))
 	for _, g := range gens {
 		res, err := sim.RunContext(context.Background(), prog, g.make(), runOpts...)

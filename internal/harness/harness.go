@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,8 +20,9 @@ import (
 )
 
 // Schemes evaluated in figure order: the paper's three delay-based
-// schemes, then the undo-based Cleanup point of comparison.
-var Schemes = []secure.Scheme{secure.NDAP, secure.STT, secure.DoM, secure.Cleanup}
+// schemes, then the undo-based Cleanup point of comparison — the figures
+// matrix without its unsafe baseline.
+var Schemes = slices.DeleteFunc(secure.FigureSchemes(), func(s secure.Scheme) bool { return s == secure.Unsafe })
 
 // Key identifies one cell of the experiment matrix.
 type Key struct {
@@ -86,7 +88,7 @@ func Run(opts Options) (*Matrix, error) {
 	}
 	sort.Strings(names)
 	m := &Matrix{Workloads: names, Results: make(map[Key]sim.Result)}
-	schemes := append([]secure.Scheme{secure.Unsafe}, Schemes...)
+	schemes := secure.FigureSchemes()
 
 	// Build every program up front (cheap, deterministic) and, when
 	// verifying or warm-starting, the reference checksums and warmup

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -245,5 +246,13 @@ func TestWarmStartMatchesCold(t *testing.T) {
 		if w.Insts != c.Insts {
 			t.Errorf("%+v: committed %d cold vs %d warm", k, c.Insts, w.Insts)
 		}
+	}
+}
+
+// TestSchemesDerivedFromRegistry pins the figure-order scheme list that
+// the matrix, the CSV and the benchmark cells are built from.
+func TestSchemesDerivedFromRegistry(t *testing.T) {
+	if got, want := fmt.Sprint(secure.Names(Schemes)), "[nda-p stt dom cleanup]"; got != want {
+		t.Errorf("Schemes = %s, want %s", got, want)
 	}
 }

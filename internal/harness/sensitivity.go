@@ -101,7 +101,8 @@ func RunSensitivity(axis, workloadName string, scale workload.Scale, runOpts ...
 // PrintSensitivity renders a sweep.
 func PrintSensitivity(w io.Writer, axis, workloadName string, points []SensitivityPoint) {
 	fmt.Fprintf(w, "Sensitivity of DoM+AP recovery to %s (workload %q)\n", axis, workloadName)
-	fmt.Fprintf(w, "  %-16s %12s %12s %12s\n", axis, "dom cycles", "dom+AP", "recovered")
+	dom := secure.DoM.String()
+	fmt.Fprintf(w, "  %-16s %12s %12s %12s\n", axis, dom+" cycles", dom+"+AP", "recovered")
 	for _, p := range points {
 		fmt.Fprintf(w, "  %-16s %12d %12d %11.0f%%\n",
 			p.Label, p.DoM.Cycles, p.DoMAP.Cycles, p.Recover*100)

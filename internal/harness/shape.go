@@ -38,18 +38,18 @@ func CheckShape(m *Matrix) []ShapeCheck {
 	add("schemes-slow-down",
 		"every secure scheme runs at or below baseline performance",
 		nda <= 1.001 && stt <= 1.001 && dom <= 1.001,
-		fmt.Sprintf("nda-p %.3f, stt %.3f, dom %.3f", nda, stt, dom))
+		fmt.Sprintf("%v %.3f, %v %.3f, %v %.3f", secure.NDAP, nda, secure.STT, stt, secure.DoM, dom))
 	add("dom-slowest",
 		"DoM has the largest slowdown of the three schemes (paper: 81.8% vs 88.7%/90.5%)",
 		dom <= nda && dom <= stt,
-		fmt.Sprintf("dom %.3f vs nda-p %.3f, stt %.3f", dom, nda, stt))
+		fmt.Sprintf("%v %.3f vs %v %.3f, %v %.3f", secure.DoM, dom, secure.NDAP, nda, secure.STT, stt))
 	add("stt-at-least-nda",
 		"STT is at least as fast as NDA-P (it permits dependent ILP)",
 		stt >= nda-0.005,
-		fmt.Sprintf("stt %.3f vs nda-p %.3f", stt, nda))
+		fmt.Sprintf("%v %.3f vs %v %.3f", secure.STT, stt, secure.NDAP, nda))
 
 	for _, s := range Schemes {
-		if s.UndoesSpeculation() {
+		if s.Caps().UndoesSpeculation {
 			// Undo schemes never delay loads, so there is no slowdown for
 			// doppelganger loads to recover; AP is near-neutral for them.
 			continue
@@ -68,11 +68,11 @@ func CheckShape(m *Matrix) []ShapeCheck {
 	add("cleanup-outruns-delay",
 		"the undo-based scheme is faster than DoM (it never delays a load)",
 		cleanup >= dom-0.005,
-		fmt.Sprintf("cleanup %.3f vs dom %.3f", cleanup, dom))
+		fmt.Sprintf("%v %.3f vs %v %.3f", secure.Cleanup, cleanup, secure.DoM, dom))
 	add("cleanup-at-most-baseline",
 		"undo-based speculation runs at or below baseline performance",
 		cleanup <= 1.001,
-		fmt.Sprintf("cleanup %.3f", cleanup))
+		fmt.Sprintf("%v %.3f", secure.Cleanup, cleanup))
 
 	// Per-benchmark signatures the paper calls out in §7.
 	if has(m, "stream") && has(m, "pointer_chase") {
@@ -142,7 +142,7 @@ func WriteCSV(w io.Writer, m *Matrix) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	schemes := append([]secure.Scheme{secure.Unsafe}, Schemes...)
+	schemes := secure.FigureSchemes()
 	for _, name := range m.Workloads {
 		for _, s := range schemes {
 			for _, ap := range []bool{false, true} {

@@ -47,8 +47,8 @@ func (c Config) Secure() bool {
 	return c.Scheme != secure.Unsafe && c.Mutation == secure.MutNone
 }
 
-// DefaultConfigs is the full scheme matrix the checker sweeps:
-// {unsafe, NDA-P, STT, DoM} x {address prediction off, on}.
+// DefaultConfigs is the full scheme matrix the checker sweeps: the paper's
+// schemes (secure.Schemes) x {address prediction off, on}.
 func DefaultConfigs() []Config {
 	var out []Config
 	for _, s := range secure.Schemes() {
@@ -283,7 +283,7 @@ type MutationOutcome struct {
 // every hunted gadget gets Prime set, filling the L1 before the body runs.
 func GauntletParams(seed int64, m secure.Mutation) Params {
 	p := Generate(seed)
-	if scheme, _ := m.Target(); scheme.UndoesSpeculation() {
+	if scheme, _ := m.Target(); scheme.Caps().UndoesSpeculation {
 		p.Prime = true
 	}
 	return p

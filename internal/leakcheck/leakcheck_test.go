@@ -2,6 +2,7 @@ package leakcheck
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -242,7 +243,7 @@ func TestGauntletParamsBias(t *testing.T) {
 	for _, m := range secure.Mutations() {
 		p := GauntletParams(3, m)
 		scheme, _ := m.Target()
-		if scheme.UndoesSpeculation() {
+		if scheme.Caps().UndoesSpeculation {
 			if !p.Prime {
 				t.Errorf("%s: gauntlet params not primed for undo scheme", m)
 			}
@@ -404,5 +405,18 @@ func TestCheckpointSweepSecureSchemes(t *testing.T) {
 		if !r.Config.Secure() && len(r.Leaks) == 0 {
 			t.Errorf("VACUOUS: warm-started %s leaked on 0/%d seeds — the oracle saw nothing", r.Config, r.Seeds)
 		}
+	}
+}
+
+// TestDefaultConfigsList pins the default scheme matrix, in order: the
+// paper's schemes, each without and then with address prediction.
+func TestDefaultConfigsList(t *testing.T) {
+	var got []string
+	for _, c := range DefaultConfigs() {
+		got = append(got, c.String())
+	}
+	want := "[unsafe unsafe+ap nda-p nda-p+ap stt stt+ap dom dom+ap]"
+	if fmt.Sprint(got) != want {
+		t.Errorf("DefaultConfigs() = %v, want %s", got, want)
 	}
 }

@@ -119,8 +119,8 @@ type undoRec struct {
 }
 
 // undoJournal is the hierarchy's rollback buffer: a flat record slice with a
-// retired-prefix head index, so retirement is O(1) amortised and rollback
-// compacts in place.
+// retired-prefix head index, so retirement is O(1) amortised, and rollback
+// and retirement both compact in place.
 type undoJournal struct {
 	opts UndoOptions
 	recs []undoRec
@@ -137,7 +137,12 @@ func (j *undoJournal) pending() int { return len(j.recs) - j.head }
 
 // retireUpTo pops records from the front while the oldest record's
 // instruction is covered by the commit frontier, applying deferred MSHR
-// timeline folds in perform order.
+// timeline folds in perform order. Once the retired prefix outgrows the
+// live records it is reclaimed by sliding the live records to the front:
+// under steady speculation the journal never drains, so reclamation cannot
+// wait for it to empty. Each slide copies fewer records than were retired
+// since the last one, so retirement stays O(1) amortised and the slice
+// stays within a small multiple of the peak number of live records.
 func (j *undoJournal) retireUpTo(h *Hierarchy, frontier uint64) {
 	for j.head < len(j.recs) && j.recs[j.head].seq <= frontier {
 		r := &j.recs[j.head]
@@ -146,8 +151,9 @@ func (j *undoJournal) retireUpTo(h *Hierarchy, frontier uint64) {
 		}
 		j.head++
 	}
-	if j.head == len(j.recs) {
-		j.recs = j.recs[:0]
+	if j.head > len(j.recs)/2 {
+		n := copy(j.recs, j.recs[j.head:])
+		j.recs = j.recs[:n]
 		j.head = 0
 	}
 }
@@ -257,6 +263,16 @@ func (h *Hierarchy) UndoPending() int {
 		return 0
 	}
 	return h.undo.pending()
+}
+
+// UndoCapacity reports the journal's allocated record capacity; zero when
+// no journal is attached. Retirement reclaims the retired prefix, so the
+// capacity tracks the peak number of live records, not the run length.
+func (h *Hierarchy) UndoCapacity() int {
+	if h.undo == nil {
+		return 0
+	}
+	return cap(h.undo.recs)
 }
 
 // RollbackAfter undoes every journaled side effect of instructions younger

@@ -324,3 +324,38 @@ func TestUndoRandomReplacementRollback(t *testing.T) {
 		t.Error("wrong lines resident after random-replacement rollback")
 	}
 }
+
+// TestUndoJournalBoundedUnderSteadySpeculation drives a long journaled
+// stream in which the commit frontier always trails the youngest access, so
+// the journal is never empty, with periodic squashes. Retirement must
+// reclaim the retired prefix: the record slice stays a small multiple of
+// the peak live record count instead of growing with the run.
+func TestUndoJournalBoundedUnderSteadySpeculation(t *testing.T) {
+	h := undoHierarchy(UndoOptions{})
+	const (
+		accesses = 20000
+		lag      = 8 // instructions in flight behind the commit frontier
+	)
+	peak := 0
+	for seq := uint64(1); seq <= accesses; seq++ {
+		now := seq * 3
+		addr := 0x10000 + (seq*7919%4096)*64 // hits, misses and evictions
+		h.Access(now, addr, ClassDemand, AccessOptions{UndoSeq: seq})
+		if seq%97 == 0 {
+			h.RollbackAfter(seq - 2) // squash the two youngest
+		}
+		if seq > lag {
+			h.RetireUpTo(seq - lag)
+		}
+		if p := h.UndoPending(); p > peak {
+			peak = p
+		}
+		if h.UndoPending() == 0 {
+			t.Fatalf("journal drained at seq %d; the stream must keep it live", seq)
+		}
+	}
+	if limit := 4*peak + 256; h.UndoCapacity() > limit {
+		t.Errorf("journal capacity %d after %d accesses exceeds %d (peak %d live records)",
+			h.UndoCapacity(), accesses, limit, peak)
+	}
+}

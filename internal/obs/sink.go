@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"io"
-	"os"
 	"strconv"
 	"sync/atomic"
 )
@@ -291,10 +290,6 @@ type TextSink struct {
 
 // NewTextSink builds a text sink on w.
 func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w, buf: make([]byte, 0, 128)} }
-
-// Stdout is a shared text sink on standard output, used by the deprecated
-// Core.SetTraceWindow stdout behaviour.
-var Stdout TraceSink = NewTextSink(os.Stdout)
 
 // Emit writes "[cycle] kind seq=… pc=… …".
 func (s *TextSink) Emit(e Event) {

@@ -17,7 +17,7 @@ import (
 // architectural) and their buffered speculative-trace folds apply.
 func (c *Core) commit() {
 	frontier := c.commitCycle()
-	if c.undoOn && frontier != 0 {
+	if c.caps.UndoesSpeculation && frontier != 0 {
 		c.drainSpecAt(frontier)
 		c.hier.RetireUpTo(frontier)
 	}

@@ -206,7 +206,7 @@ func (c Config) Validate() error {
 		if c.AddressPrediction {
 			return fmt.Errorf("pipeline: value prediction and address prediction are mutually exclusive")
 		}
-		if c.Scheme != secure.DoM {
+		if !c.Scheme.Caps().DelaysOnMiss {
 			return fmt.Errorf("pipeline: value prediction is a DoM optimization (got %v)", c.Scheme)
 		}
 		if err := c.Value.Validate(); err != nil {
@@ -224,12 +224,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// inOrderBranchResolution reports whether branches must resolve in order
-// (only once non-speculative). The paper requires this for DoM enhanced
-// with doppelganger loads (§5.3) to close the implicit channels that
-// doppelganger misses would otherwise open.
-func (c Config) inOrderBranchResolution() bool {
-	return c.Scheme == secure.DoM && c.AddressPrediction
 }

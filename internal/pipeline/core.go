@@ -110,13 +110,20 @@ type Core struct {
 	obsAddrSpec uint64
 	obsCtrlSpec uint64
 
-	// Undo-scheme state (secure.Cleanup): undoOn caches the scheme
-	// predicate for the hot path; specLog buffers speculative-trace folds
-	// of tagged accesses in perform order until their instruction commits
-	// (fold) or squashes (drop), because under an undo scheme a squashed
-	// access's hierarchy footprint is erased and must not appear in the
-	// observable address trace either.
-	undoOn  bool
+	// caps holds the scheme's capabilities, resolved once in New so the
+	// hot path reads a field instead of consulting the registry.
+	// inOrderBranches caches whether branches must resolve in order: the
+	// paper requires this for DoM enhanced with doppelganger loads (§5.3)
+	// to close the implicit channels doppelganger misses would otherwise
+	// open.
+	caps            secure.Caps
+	inOrderBranches bool
+
+	// Undo-scheme state (Caps.UndoesSpeculation): specLog buffers
+	// speculative-trace folds of tagged accesses in perform order until
+	// their instruction commits (fold) or squashes (drop), because under an
+	// undo scheme a squashed access's hierarchy footprint is erased and must
+	// not appear in the observable address trace either.
 	specLog []specAcc
 
 	// Stats accumulates raw event counts for the run.
@@ -153,6 +160,8 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 		committedPC: make([]uint64, len(prog.Code)),
 	}
 	c.bpBim, _ = c.bp.(*predictor.Bimodal)
+	c.caps = cfg.Scheme.Caps()
+	c.inOrderBranches = c.caps.DelaysOnMiss && cfg.AddressPrediction
 	// Pre-size every structure the cycle loop appends to, so steady-state
 	// simulation never grows a slice: queue contents are bounded by the
 	// structure sizes (anything in flight occupies a ROB slot).
@@ -163,7 +172,7 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 	c.prefetchBuf = make([]uint64, 0, cfg.PrefetchDegree)
 	c.shadows.Reserve(cfg.ROBSize)
 	c.ctrlShadows.Reserve(cfg.ROBSize)
-	if cfg.Scheme.ControlOnlyTaint() {
+	if c.caps.ControlOnlyTaint {
 		c.taints = secure.NewTaintTracker(nPhys, &c.ctrlShadows)
 	} else {
 		c.taints = secure.NewTaintTracker(nPhys, &c.shadows)
@@ -180,12 +189,11 @@ func New(cfg Config, prog *program.Program) (*Core, error) {
 	if cfg.MemDepPrediction {
 		c.sset = predictor.NewStoreSets(cfg.StoreSets)
 	}
-	if cfg.Scheme.UndoesSpeculation() {
+	if c.caps.UndoesSpeculation {
 		// CleanupSpec-style undo: the hierarchy journals every tagged
 		// speculative side effect; squashes roll the journal back (see
 		// squashAfter) and commit retires it (see commit). The planted
 		// weakenings selectively disable parts of the rollback.
-		c.undoOn = true
 		c.hier.EnableUndo(mem.UndoOptions{
 			SkipLRUUndo: cfg.Mutation.SkipsLRUUndo(),
 			DropEvicted: cfg.Mutation.DropsEvictedLines(),
@@ -399,7 +407,7 @@ func (c *Core) squashAfter(survivorSeq, newPC, newHist uint64) {
 	}
 	c.shadows.SquashAfter(survivorSeq)
 	c.ctrlShadows.SquashAfter(survivorSeq)
-	if c.undoOn {
+	if c.caps.UndoesSpeculation {
 		// Undo scheme: erase the squashed instructions' hierarchy footprint
 		// (fills, recency, counters, MSHRs) and drop their buffered
 		// speculative-trace folds — retrospective protection happens here.

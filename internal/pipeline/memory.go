@@ -5,7 +5,6 @@ import (
 
 	"doppelganger/internal/mem"
 	"doppelganger/internal/obs"
-	"doppelganger/internal/secure"
 )
 
 // storeQueuePass advances store state each cycle: AGU results arrive, data
@@ -44,7 +43,7 @@ func (c *Core) storeQueuePass() {
 }
 
 func (c *Core) storeAddrSafe(e *sqEntry) bool {
-	if c.cfg.Scheme.TracksTaint() {
+	if c.caps.TracksTaint {
 		return !c.taints.RootSpeculative(e.addrTaintRoot)
 	}
 	return true
@@ -295,7 +294,7 @@ func (c *Core) loadQueuePass() {
 			u.result = e.value
 			u.executed = true
 			u.propagated = true
-			if c.cfg.Scheme.TracksTaint() && !c.cfg.Mutation.DisablesTaint() {
+			if c.caps.TracksTaint && !c.cfg.Mutation.DisablesTaint() {
 				c.taints.SetRoot(u.dst, u.seq)
 			}
 		}
@@ -303,7 +302,7 @@ func (c *Core) loadQueuePass() {
 }
 
 func (c *Core) canVerify(e *lqEntry) bool {
-	if c.cfg.Scheme.TracksTaint() {
+	if c.caps.TracksTaint {
 		return !c.taints.RootSpeculative(e.addrTaintRoot)
 	}
 	return true
@@ -314,9 +313,9 @@ func (c *Core) canVerify(e *lqEntry) bool {
 // stand-in worthwhile.
 func (c *Core) realLoadBlocked(e *lqEntry) bool {
 	switch {
-	case c.cfg.Scheme.TracksTaint():
+	case c.caps.TracksTaint:
 		return c.taints.RootSpeculative(e.addrTaintRoot)
-	case c.cfg.Scheme == secure.DoM:
+	case c.caps.DelaysOnMiss:
 		return e.delayedMiss && c.speculative(e.u.seq)
 	default:
 		return false
@@ -326,14 +325,14 @@ func (c *Core) realLoadBlocked(e *lqEntry) bool {
 // canIssueLoad gates the real memory access of a load.
 func (c *Core) canIssueLoad(e *lqEntry) bool {
 	switch {
-	case c.cfg.Scheme.TracksTaint():
+	case c.caps.TracksTaint:
 		// Loads are transmitters: a tainted address may not reach memory.
 		if c.taints.RootSpeculative(e.addrTaintRoot) {
 			c.Stats.STTTaintStalls++
 			return false
 		}
 		return true
-	case c.cfg.Scheme == secure.DoM:
+	case c.caps.DelaysOnMiss:
 		if c.cfg.Mutation.DisablesDelayOnMiss() {
 			return true
 		}
@@ -373,10 +372,10 @@ func (c *Core) issueRealLoad(e *lqEntry, ports *int) {
 		return
 	}
 	opts := mem.AccessOptions{
-		DoMSpeculative: c.cfg.Scheme == secure.DoM && c.speculative(e.u.seq) &&
+		DoMSpeculative: c.caps.DelaysOnMiss && c.speculative(e.u.seq) &&
 			!c.cfg.Mutation.DisablesDelayOnMiss(),
 	}
-	if c.undoOn {
+	if c.caps.UndoesSpeculation {
 		// Undo scheme: every load access is journaled unconditionally — a
 		// load can be squashed by an older instruction (or squash itself),
 		// so even "safe-looking" accesses must be reversible.
@@ -427,7 +426,7 @@ func (c *Core) issueRealLoad(e *lqEntry, ports *int) {
 // a doppelganger invisible, §4.4).
 func (c *Core) issueDoppelganger(e *lqEntry, ports *int) {
 	opts := mem.AccessOptions{}
-	if c.undoOn {
+	if c.caps.UndoesSpeculation {
 		opts.UndoSeq = e.u.seq
 	}
 	res := c.hier.Access(c.cycle, e.predAddr, mem.ClassDoppelganger, opts)
@@ -479,7 +478,7 @@ func (c *Core) firePrefetches(seq, pc, addr uint64) {
 	c.prefetchBuf = c.stride.PrefetchTargets(pc, addr, c.cfg.PrefetchDistance, c.cfg.PrefetchDegree, c.prefetchBuf)
 	for _, t := range c.prefetchBuf {
 		opts := mem.AccessOptions{Prefetch: true}
-		if c.undoOn {
+		if c.caps.UndoesSpeculation {
 			opts.UndoSeq = seq
 		}
 		res := c.hier.Access(c.cycle, t, mem.ClassPrefetch, opts)
@@ -537,19 +536,19 @@ func (c *Core) youngestOlderStore(seq, addr uint64) *sqEntry {
 // is present.
 func (c *Core) canPropagateLoad(e *lqEntry) bool {
 	switch {
-	case c.cfg.Scheme.DelaysPropagation() && c.cfg.Mutation.DisablesPropagationDelay():
+	case c.caps.DelaysPropagation && c.cfg.Mutation.DisablesPropagationDelay():
 		// Planted weakening (leakcheck mutation mode): NDA's propagation
 		// delay is gone, values release as on the unsafe baseline.
 		return true
-	case c.cfg.Scheme == secure.NDAS:
+	case c.caps.PropagatesAtHead:
 		// Strict propagation: only the oldest in-flight instruction may
 		// release a loaded value.
 		return !c.rob.empty() && c.robEntries[c.rob.headIdx()].seq == e.u.seq
-	case c.cfg.Scheme == secure.NDAP:
+	case c.caps.DelaysPropagation:
 		// Speculatively loaded values never propagate until the load is
 		// bound to commit.
 		return !c.speculative(e.u.seq)
-	case c.cfg.Scheme == secure.DoM:
+	case c.caps.DelaysOnMiss:
 		// Values obtained via a doppelganger that missed in the L1 only
 		// propagate once non-speculative — matching when a conventional
 		// DoM load that missed would have produced them (§5.3). Hits and
@@ -560,7 +559,7 @@ func (c *Core) canPropagateLoad(e *lqEntry) bool {
 		}
 		return true
 	default:
-		// Unsafe propagates freely; STT propagates and taints.
+		// Unsafe and Cleanup propagate freely; STT propagates and taints.
 		return true
 	}
 }

@@ -90,7 +90,7 @@ type specAcc struct {
 // undo scheme: with undo active the fold is buffered against the issuing
 // instruction instead of applied immediately.
 func (c *Core) obsSpecAccessAt(seq uint64, class uint8, addr uint64) {
-	if c.undoOn {
+	if c.caps.UndoesSpeculation {
 		c.specLog = append(c.specLog, specAcc{seq: seq, addr: addr, class: class})
 		return
 	}

@@ -5,6 +5,7 @@ import (
 
 	"doppelganger/internal/program"
 	"doppelganger/internal/secure"
+	"doppelganger/internal/workload"
 )
 
 // streamWithGate builds an independent strided sweep over an L2/L3 region
@@ -154,5 +155,39 @@ func TestDoppelgangerHarmlessOnRandomChain(t *testing.T) {
 			t.Errorf("%v: AP changed random-chain cycles by %.1f%% (off=%d on=%d)",
 				scheme, (ratio-1)*100, off, on)
 		}
+	}
+}
+
+// TestCleanupJournalBounded runs the stream workload under Cleanup, where
+// loads are in flight behind unresolved branches for the whole run, so the
+// undo journal is never empty. Its record slice must stay a small multiple
+// of the peak number of live records rather than growing with the run.
+func TestCleanupJournalBounded(t *testing.T) {
+	w, ok := workload.ByName("stream")
+	if !ok {
+		t.Fatal("no stream workload")
+	}
+	cfg := DefaultConfig()
+	cfg.Scheme = secure.Cleanup
+	c, err := New(cfg, w.Build(workload.ScaleTest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for !c.Halted() {
+		if c.Cycle() > 50_000_000 {
+			t.Fatal("stream did not halt")
+		}
+		c.Step()
+		if p := c.Hierarchy().UndoPending(); p > peak {
+			peak = p
+		}
+	}
+	if c.Stats.BranchMispredicts == 0 {
+		t.Fatal("no squashes: the run never exercised rollback")
+	}
+	if got, limit := c.Hierarchy().UndoCapacity(), 4*peak+256; got > limit {
+		t.Errorf("journal capacity %d after %d cycles exceeds %d (peak %d live records)",
+			got, c.Cycle(), limit, peak)
 	}
 }

@@ -202,7 +202,7 @@ func (c *Core) issue() {
 			u.doneAt = c.cycle + c.opLatency(u.in.Op)
 			u.inFlight = true
 			c.inflightExec = append(c.inflightExec, u)
-			if c.cfg.Scheme.TracksTaint() {
+			if c.caps.TracksTaint {
 				c.taints.SetCombined(u.dst, u.src[:u.nsrc]...)
 				if c.tracing {
 					if root := c.taints.Root(u.dst); root != 0 {
@@ -220,7 +220,7 @@ func (c *Core) issue() {
 				u.actTarget = u.pc + 1
 			}
 			u.outcomeAt = c.cycle + c.cfg.ALULatency
-			if c.cfg.Scheme.TracksTaint() {
+			if c.caps.TracksTaint {
 				u.brTaintRoot = c.taints.Combine(u.src[0], u.src[1])
 			}
 			c.pendingResolve = append(c.pendingResolve, u)
@@ -229,7 +229,7 @@ func (c *Core) issue() {
 			e.addr = program.AlignAddr(uint64(c.regVal[u.src[0]] + u.in.Imm))
 			e.addrValidAt = c.cycle + c.cfg.AGULatency
 			e.addrPending = true
-			if c.cfg.Scheme.TracksTaint() {
+			if c.caps.TracksTaint {
 				e.addrTaintRoot = c.taints.Root(u.src[0])
 			}
 		case isa.KindStore:
@@ -237,7 +237,7 @@ func (c *Core) issue() {
 			e.addr = program.AlignAddr(uint64(c.regVal[u.src[0]] + u.in.Imm))
 			e.addrValidAt = c.cycle + c.cfg.AGULatency
 			e.addrPending = true
-			if c.cfg.Scheme.TracksTaint() {
+			if c.caps.TracksTaint {
 				e.addrTaintRoot = c.taints.Root(u.src[0])
 			}
 		}
@@ -337,9 +337,9 @@ func (c *Core) resolveBranches() {
 
 func (c *Core) canResolveBranch(u *uop) bool {
 	switch {
-	case c.cfg.Scheme.TracksTaint():
+	case c.caps.TracksTaint:
 		return !c.taints.RootSpeculative(u.brTaintRoot)
-	case c.cfg.inOrderBranchResolution():
+	case c.inOrderBranches:
 		return !c.speculative(u.seq)
 	default:
 		return true

@@ -47,26 +47,6 @@ func (c *Core) SetCycleWindow(from, to uint64) {
 // event.
 func (c *Core) ClearCycleWindow() { c.winOn = false }
 
-// SetTraceWindow enables event tracing for cycles in [from, to]; pass 0, 0
-// to disable. If no sink is attached it installs a human-readable sink on
-// standard output, preserving this method's historical behaviour.
-//
-// Deprecated: use SetTraceSink plus SetCycleWindow (or the sim package's
-// WithTracer and WithTraceWindow run options). Note the historical contract
-// makes a window starting at cycle 0 unreachable — 0, 0 means "disable" —
-// which SetCycleWindow fixes with an explicit enabled flag.
-func (c *Core) SetTraceWindow(from, to uint64) {
-	if from == 0 && to == 0 {
-		c.ClearCycleWindow()
-		c.SetTraceSink(nil)
-		return
-	}
-	c.SetCycleWindow(from, to)
-	if c.sink == nil {
-		c.SetTraceSink(obs.Stdout)
-	}
-}
-
 // emit stamps the current cycle and forwards the event to the sink,
 // applying the cycle window. Callers must check c.tracing first.
 func (c *Core) emit(e obs.Event) {

@@ -30,10 +30,9 @@ func runTraced(t *testing.T, sink obs.TraceSink, window func(*Core)) *Core {
 	return c
 }
 
-// TestCycleWindowAtZero pins the trace-window bug fix: a window starting at
-// cycle 0 must capture the run's earliest events (the old SetTraceWindow
-// contract made from == 0 mean "disabled", so such a window was
-// unreachable).
+// TestCycleWindowAtZero pins that a window starting at cycle 0 captures the
+// run's earliest events: the window carries an explicit enabled flag, so
+// from == 0 is an ordinary bound, not "disabled".
 func TestCycleWindowAtZero(t *testing.T) {
 	ring := obs.NewRingSink(1 << 16)
 	runTraced(t, ring, func(c *Core) { c.SetCycleWindow(0, 10) })
@@ -58,28 +57,6 @@ func TestCycleWindowBounds(t *testing.T) {
 	for _, e := range events {
 		if e.Cycle < 20 || e.Cycle > 40 {
 			t.Errorf("event %v at cycle %d escaped window [20, 40]", e.Kind, e.Cycle)
-		}
-	}
-}
-
-// TestSetTraceWindowCompat pins the deprecated method's contract: (0, 0)
-// disables tracing entirely, and a non-zero window keeps an already-attached
-// sink rather than installing the stdout one.
-func TestSetTraceWindowCompat(t *testing.T) {
-	ring := obs.NewRingSink(1 << 16)
-	runTraced(t, ring, func(c *Core) { c.SetTraceWindow(0, 0) })
-	if got := ring.Len(); got != 0 {
-		t.Errorf("SetTraceWindow(0, 0) still traced %d events", got)
-	}
-
-	ring = obs.NewRingSink(1 << 16)
-	runTraced(t, ring, func(c *Core) { c.SetTraceWindow(5, 15) })
-	if ring.Len() == 0 {
-		t.Fatal("SetTraceWindow(5, 15) with an attached sink captured nothing")
-	}
-	for _, e := range ring.Events() {
-		if e.Cycle < 5 || e.Cycle > 15 {
-			t.Errorf("event %v at cycle %d escaped window [5, 15]", e.Kind, e.Cycle)
 		}
 	}
 }

@@ -72,10 +72,16 @@ func ParseMutation(name string) (Mutation, error) {
 	return 0, fmt.Errorf("secure: unknown mutation %q", name)
 }
 
-// Mutations lists the planted weakenings (excluding MutNone).
+// Mutations lists the planted weakenings (excluding MutNone) in registry
+// order: each scheme's planted mutations, scheme by scheme.
 func Mutations() []Mutation {
-	return []Mutation{MutNDAFreeProp, MutSTTNoTaint, MutDoMIssueMiss, MutSpecTrain,
-		MutCleanupNoLRUUndo, MutCleanupDropEvicted}
+	var out []Mutation
+	for i := range registry {
+		for _, p := range registry[i].mutations {
+			out = append(out, p.mutation)
+		}
+	}
+	return out
 }
 
 // DisablesPropagationDelay reports whether NDA's propagation delay is
@@ -101,25 +107,16 @@ func (m Mutation) SkipsLRUUndo() bool { return m == MutCleanupNoLRUUndo }
 func (m Mutation) DropsEvictedLines() bool { return m == MutCleanupDropEvicted }
 
 // Target returns the scheme configuration the mutation is designed to
-// weaken: the scheme whose protection it removes, and whether address
-// prediction must be enabled for the weakening to be reachable.
+// weaken: the scheme whose registry row plants it, and whether address
+// prediction must be enabled for the weakening to be reachable. Mutations
+// no scheme plants (MutNone) target the unsafe baseline.
 func (m Mutation) Target() (s Scheme, needAP bool) {
-	switch m {
-	case MutNDAFreeProp:
-		return NDAP, false
-	case MutSTTNoTaint:
-		return STT, false
-	case MutDoMIssueMiss:
-		return DoM, false
-	case MutSpecTrain:
-		// Speculative training only matters when the poisoned table is
-		// consulted, i.e. with doppelganger loads enabled; DoM is the
-		// scheme that lets a speculatively loaded value compute the
-		// wrong-path address that poisons the table (L1-hit propagation).
-		return DoM, true
-	case MutCleanupNoLRUUndo, MutCleanupDropEvicted:
-		return Cleanup, false
-	default:
-		return Unsafe, false
+	for i := range registry {
+		for _, p := range registry[i].mutations {
+			if p.mutation == m {
+				return Scheme(i), p.needAP
+			}
+		}
 	}
+	return Unsafe, false
 }

@@ -10,6 +10,11 @@
 // for all evaluated schemes. ShadowTracker implements it. TaintTracker
 // implements STT's youngest-root-of-taint propagation over physical
 // registers.
+//
+// Each scheme is one row of a registry: its name, its capability flags
+// (Caps), its membership of the paper and figures scheme lists, and the
+// weakenings planted into it. Every scheme list, name lookup and mutation
+// target in the tree is derived from that table.
 package secure
 
 import "fmt"
@@ -60,20 +65,79 @@ const (
 	numSchemes
 )
 
-var schemeNames = [numSchemes]string{
-	Unsafe:     "unsafe",
-	NDAP:       "nda-p",
-	STT:        "stt",
-	DoM:        "dom",
-	NDAS:       "nda-s",
-	STTSpectre: "stt-spectre",
-	Cleanup:    "cleanup",
+// Caps are the protection mechanisms that tell the schemes apart. The
+// pipeline consults only these, never a scheme's identity, so a scheme is
+// fully described by its registry row.
+type Caps struct {
+	// DelaysPropagation withholds a speculative load's result from its
+	// dependents until the load is safe (NDA).
+	DelaysPropagation bool
+	// PropagatesAtHead lets a load propagate only once it is the oldest
+	// in-flight instruction (NDA strict propagation).
+	PropagatesAtHead bool
+	// TracksTaint taints speculatively loaded values and delays tainted
+	// transmitters (STT).
+	TracksTaint bool
+	// ControlOnlyTaint keeps a taint live only under control speculation
+	// (the Spectre threat model) rather than under every shadow.
+	ControlOnlyTaint bool
+	// DelaysOnMiss delays speculative loads that miss in the L1 until they
+	// are non-speculative (DoM).
+	DelaysOnMiss bool
+	// UndoesSpeculation lets speculative accesses change the cache
+	// hierarchy freely and rolls the changes back on squash (the
+	// CleanupSpec design point) instead of delaying them up front.
+	UndoesSpeculation bool
+}
+
+// planted is one planted weakening of a scheme and whether address
+// prediction must be enabled for the weakening to be reachable.
+type planted struct {
+	mutation Mutation
+	needAP   bool
+}
+
+// schemeRow is everything the simulator and its tools know about a scheme.
+type schemeRow struct {
+	name string
+	caps Caps
+	// paper marks the schemes the paper evaluates (Schemes).
+	paper bool
+	// figures marks the schemes of the figures matrix (FigureSchemes).
+	figures bool
+	// mutations lists the weakenings planted into this scheme, in
+	// gauntlet order.
+	mutations []planted
+}
+
+// registry is the single source of every scheme list, name and capability.
+// Adding a scheme means adding its constant above and its row here.
+var registry = [numSchemes]schemeRow{
+	Unsafe: {name: "unsafe", paper: true, figures: true},
+	NDAP: {name: "nda-p", caps: Caps{DelaysPropagation: true}, paper: true, figures: true,
+		mutations: []planted{{mutation: MutNDAFreeProp}}},
+	STT: {name: "stt", caps: Caps{TracksTaint: true}, paper: true, figures: true,
+		mutations: []planted{{mutation: MutSTTNoTaint}}},
+	DoM: {name: "dom", caps: Caps{DelaysOnMiss: true}, paper: true, figures: true,
+		mutations: []planted{
+			{mutation: MutDoMIssueMiss},
+			// Speculative training only matters when the poisoned table
+			// is consulted, i.e. with doppelganger loads enabled; DoM is
+			// the scheme that lets a speculatively loaded value compute
+			// the wrong-path address that poisons the table (L1-hit
+			// propagation).
+			{mutation: MutSpecTrain, needAP: true},
+		}},
+	NDAS:       {name: "nda-s", caps: Caps{DelaysPropagation: true, PropagatesAtHead: true}},
+	STTSpectre: {name: "stt-spectre", caps: Caps{TracksTaint: true, ControlOnlyTaint: true}},
+	Cleanup: {name: "cleanup", caps: Caps{UndoesSpeculation: true}, figures: true,
+		mutations: []planted{{mutation: MutCleanupNoLRUUndo}, {mutation: MutCleanupDropEvicted}}},
 }
 
 // String returns the scheme's short name.
 func (s Scheme) String() string {
-	if int(s) < len(schemeNames) {
-		return schemeNames[s]
+	if s.Valid() {
+		return registry[s].name
 	}
 	return fmt.Sprintf("scheme(%d)", uint8(s))
 }
@@ -81,10 +145,19 @@ func (s Scheme) String() string {
 // Valid reports whether the scheme is defined.
 func (s Scheme) Valid() bool { return s < numSchemes }
 
+// Caps returns the scheme's protection capabilities (none for an invalid
+// scheme).
+func (s Scheme) Caps() Caps {
+	if s.Valid() {
+		return registry[s].caps
+	}
+	return Caps{}
+}
+
 // ParseScheme maps a name (as produced by String) back to a Scheme.
 func ParseScheme(name string) (Scheme, error) {
-	for i, n := range schemeNames {
-		if n == name {
+	for i := range registry {
+		if registry[i].name == name {
 			return Scheme(i), nil
 		}
 	}
@@ -92,35 +165,35 @@ func ParseScheme(name string) (Scheme, error) {
 }
 
 // Schemes lists the paper's evaluated schemes in evaluation order.
-func Schemes() []Scheme { return []Scheme{Unsafe, NDAP, STT, DoM} }
+func Schemes() []Scheme { return schemesWhere(func(r *schemeRow) bool { return r.paper }) }
+
+// FigureSchemes lists the schemes of the figures matrix: the unsafe
+// baseline, the paper's three delay-based schemes, then the undo-based
+// Cleanup point of comparison.
+func FigureSchemes() []Scheme { return schemesWhere(func(r *schemeRow) bool { return r.figures }) }
 
 // AllSchemes additionally includes the variants this reproduction adds
 // beyond the paper's evaluation (strict NDA, Spectre-model STT, and the
 // CleanupSpec-style undo scheme).
-func AllSchemes() []Scheme {
-	return []Scheme{Unsafe, NDAP, STT, DoM, NDAS, STTSpectre, Cleanup}
+func AllSchemes() []Scheme { return schemesWhere(func(*schemeRow) bool { return true }) }
+
+// schemesWhere lists, in registry order, the schemes whose row satisfies
+// keep.
+func schemesWhere(keep func(*schemeRow) bool) []Scheme {
+	var out []Scheme
+	for i := range registry {
+		if keep(&registry[i]) {
+			out = append(out, Scheme(i))
+		}
+	}
+	return out
 }
 
-// DelaysPropagation reports whether the scheme withholds a speculative
-// load's result from dependents until the load is safe (NDA variants).
-func (s Scheme) DelaysPropagation() bool { return s == NDAP || s == NDAS }
-
-// PropagatesAtHead reports whether loads may only propagate once they are
-// the oldest in-flight instruction (NDA strict propagation).
-func (s Scheme) PropagatesAtHead() bool { return s == NDAS }
-
-// TracksTaint reports whether the scheme uses taint tracking (STT models).
-func (s Scheme) TracksTaint() bool { return s == STT || s == STTSpectre }
-
-// ControlOnlyTaint reports whether taint liveness considers only control
-// speculation (the Spectre threat model) rather than all shadows.
-func (s Scheme) ControlOnlyTaint() bool { return s == STTSpectre }
-
-// DelaysOnMiss reports whether speculative loads that miss in the L1 are
-// delayed until non-speculative (DoM).
-func (s Scheme) DelaysOnMiss() bool { return s == DoM }
-
-// UndoesSpeculation reports whether the scheme lets speculative accesses
-// change the cache hierarchy freely and rolls the changes back on squash
-// (the CleanupSpec design point), rather than delaying them up front.
-func (s Scheme) UndoesSpeculation() bool { return s == Cleanup }
+// Names returns the schemes' names, in order.
+func Names(schemes []Scheme) []string {
+	out := make([]string, len(schemes))
+	for i, s := range schemes {
+		out[i] = s.String()
+	}
+	return out
+}

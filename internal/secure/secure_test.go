@@ -22,14 +22,22 @@ func TestSchemeNamesRoundTrip(t *testing.T) {
 }
 
 func TestSchemeFlags(t *testing.T) {
-	if !NDAP.DelaysPropagation() || STT.DelaysPropagation() || DoM.DelaysPropagation() || Unsafe.DelaysPropagation() {
-		t.Error("DelaysPropagation must be NDA-P only")
+	want := map[Scheme]Caps{
+		Unsafe:     {},
+		NDAP:       {DelaysPropagation: true},
+		STT:        {TracksTaint: true},
+		DoM:        {DelaysOnMiss: true},
+		NDAS:       {DelaysPropagation: true, PropagatesAtHead: true},
+		STTSpectre: {TracksTaint: true, ControlOnlyTaint: true},
+		Cleanup:    {UndoesSpeculation: true},
 	}
-	if !STT.TracksTaint() || NDAP.TracksTaint() {
-		t.Error("TracksTaint must be STT only")
+	for _, s := range AllSchemes() {
+		if got := s.Caps(); got != want[s] {
+			t.Errorf("%v caps = %+v, want %+v", s, got, want[s])
+		}
 	}
-	if !DoM.DelaysOnMiss() || STT.DelaysOnMiss() {
-		t.Error("DelaysOnMiss must be DoM only")
+	if (Scheme(99).Caps() != Caps{}) {
+		t.Error("an invalid scheme must have no capabilities")
 	}
 }
 

@@ -156,9 +156,6 @@ func RunFromCheckpoint(ctx context.Context, p *Program, cfg Config, ck *Checkpoi
 		return Result{}, fmt.Errorf("sim: %q under %v: %w", p.Name, cfg.Scheme, err)
 	}
 	res := Summarize(p, cfg, c)
-	if o.digest != nil {
-		*o.digest = c.MicroDigest()
-	}
 	for _, r := range o.observe {
 		r.capture(c, p)
 	}

@@ -183,11 +183,26 @@ func TestObserveClauseGating(t *testing.T) {
 	arch.Diff(&arch2, sim.CTSpec)
 }
 
+// directRun drives a core to completion without any run option and returns
+// its result and final µarch digest: the unobserved reference that Observe
+// must reproduce.
+func directRun(t *testing.T, p *sim.Program, cfg sim.Config) (sim.Result, sim.MicroDigest) {
+	t.Helper()
+	c, err := sim.NewCore(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(cfg.MaxInsts, sim.DefaultMaxCycles); err != nil {
+		t.Fatalf("%s/%v/ap=%v direct: %v", p.Name, cfg.Scheme, cfg.AddressPrediction, err)
+	}
+	return sim.Summarize(p, cfg, c), c.MicroDigest()
+}
+
 // TestObserveDoesNotPerturb: attaching Observe changes neither the
 // architectural result nor the µarch digest of a run.
 func TestObserveDoesNotPerturb(t *testing.T) {
-	var d sim.MicroDigest
-	plain := observeRun(t, sim.WithMicroArchDigest(&d))
+	w, _ := workload.ByName("stream")
+	plain, d := directRun(t, w.Build(workload.ScaleTest), sim.Config{Scheme: sim.DoM, AddressPrediction: true})
 	var o sim.Observation
 	observed := observeRun(t, sim.Observe(&o))
 	if plain.Checksum != observed.Checksum {
@@ -198,9 +213,10 @@ func TestObserveDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestDigestEquivalenceMatrix is the deprecation contract: across the full
-// workload × scheme × ±AP matrix, WithMicroArchDigest and the full-lattice
-// Observe composition capture checksum-identical µarch digests.
+// TestDigestEquivalenceMatrix pins Observation.Micro across the full
+// workload × scheme × ±AP matrix: the full-lattice Observe composition
+// captures exactly the digest Core.MicroDigest reads from a directly driven
+// core.
 func TestDigestEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix digest equivalence skipped in -short mode")
@@ -236,18 +252,14 @@ func TestDigestEquivalenceMatrix(t *testing.T) {
 			for c := range work {
 				cfg := sim.Config{Scheme: c.scheme, AddressPrediction: c.ap}
 				p := testProgram(t, c.wl)
-				var d sim.MicroDigest
-				if _, err := sim.RunContext(context.Background(), p, cfg, sim.WithMicroArchDigest(&d)); err != nil {
-					t.Errorf("%s/%v/ap=%v legacy: %v", c.wl, c.scheme, c.ap, err)
-					continue
-				}
+				_, d := directRun(t, p, cfg)
 				var o sim.Observation
 				if _, err := sim.RunContext(context.Background(), p, cfg, sim.Observe(&o, sim.Lattice()...)); err != nil {
 					t.Errorf("%s/%v/ap=%v observe: %v", c.wl, c.scheme, c.ap, err)
 					continue
 				}
 				if d != o.Micro {
-					t.Errorf("%s/%v/ap=%v: digest != observation:\n  legacy  %+v\n  observe %+v",
+					t.Errorf("%s/%v/ap=%v: digest != observation:\n  direct  %+v\n  observe %+v",
 						c.wl, c.scheme, c.ap, d, o.Micro)
 				}
 			}

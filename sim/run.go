@@ -21,7 +21,6 @@ type runOpts struct {
 	winFrom   uint64
 	winTo     uint64
 	maxCycles uint64
-	digest    *MicroDigest
 	observe   []obsRequest
 }
 
@@ -44,8 +43,8 @@ func WithMetrics(m *obs.Metrics) RunOption {
 }
 
 // WithTraceWindow restricts trace emission to cycles in [from, to]
-// inclusive. Unlike the deprecated Core.SetTraceWindow, a window starting
-// at cycle 0 is valid. Metrics are unaffected by the window.
+// inclusive; a window may start at cycle 0. Metrics are unaffected by the
+// window.
 func WithTraceWindow(from, to uint64) RunOption {
 	return func(o *runOpts) { o.winOn, o.winFrom, o.winTo = true, from, to }
 }
@@ -59,28 +58,9 @@ func WithMaxCycles(n uint64) RunOption {
 // MicroDigest fingerprints the attacker-observable micro-architectural
 // state of a finished run: cycle count, cache tag/LRU contents at every
 // level, the MSHR occupancy timeline, traffic counters, and predictor
-// tables. It is the oracle of the differential leakage checker — see
-// internal/leakcheck and WithMicroArchDigest.
+// tables. Observe captures it as Observation.Micro; Core.MicroDigest reads
+// it from a directly driven core.
 type MicroDigest = pipeline.MicroDigest
-
-// WithMicroArchDigest fills *d with the run's final micro-architectural
-// digest. Two runs of programs differing only in secret data must produce
-// equal digests under a secure speculation scheme; any component that
-// differs names a side channel through which the secret escaped.
-//
-// Deprecated: use Observe, which exposes the same nine µarch components
-// (as Observation.Micro, captured identically) plus per-clause contract
-// visibility, secret labeling and trace digests. WithMicroArchDigest is
-// the projection of the full-lattice observation onto its µarch
-// components: for any run,
-//
-//	var d MicroDigest              var o Observation
-//	..., WithMicroArchDigest(&d)   ..., Observe(&o)
-//
-// yield d == o.Micro, checksum-identical component by component.
-func WithMicroArchDigest(d *MicroDigest) RunOption {
-	return func(o *runOpts) { o.digest = d }
-}
 
 // stepChunk is how many cycles RunContext simulates between context
 // checks when the context is cancellable.
@@ -132,9 +112,6 @@ func RunContext(ctx context.Context, p *Program, cfg Config, opts ...RunOption) 
 		return Result{}, fmt.Errorf("sim: %q under %v: %w", p.Name, cfg.Scheme, err)
 	}
 	res := Summarize(p, cfg, c)
-	if o.digest != nil {
-		*o.digest = c.MicroDigest()
-	}
 	for _, r := range o.observe {
 		r.capture(c, p)
 	}

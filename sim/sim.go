@@ -42,15 +42,16 @@ const (
 	Cleanup = secure.Cleanup
 )
 
-// ParseScheme maps a scheme name ("unsafe", "nda-p", "stt", "dom") to its
-// Scheme value.
+// ParseScheme maps a scheme name — any of AllSchemes, as printed by
+// Scheme.String: "unsafe", "nda-p", "stt", "dom", "nda-s", "stt-spectre"
+// or "cleanup" — to its Scheme value.
 func ParseScheme(name string) (Scheme, error) { return secure.ParseScheme(name) }
 
 // Schemes lists the paper's evaluated schemes in evaluation order.
 func Schemes() []Scheme { return secure.Schemes() }
 
 // AllSchemes additionally includes this reproduction's extension variants
-// (nda-s, stt-spectre).
+// (nda-s, stt-spectre, cleanup).
 func AllSchemes() []Scheme { return secure.AllSchemes() }
 
 // Program is an executable program image (instructions plus initial state).
